@@ -64,10 +64,10 @@ dynamics-smoke:
 # cache and reproduce the aggregate CSV byte for byte.
 campaign-smoke:
 	rm -rf /tmp/bttomo_campaign
-	$(GO) run ./cmd/campaign -spec testdata/campaigns/grid.json -dry-run
-	$(GO) run ./cmd/campaign -spec testdata/campaigns/grid.json -out /tmp/bttomo_campaign -jobs 4
+	$(GO) run ./cmd/campaign run -spec testdata/campaigns/grid.json -dry-run
+	$(GO) run ./cmd/campaign run -spec testdata/campaigns/grid.json -out /tmp/bttomo_campaign -jobs 4
 	cp /tmp/bttomo_campaign/campaign.csv /tmp/bttomo_campaign_first.csv
-	$(GO) run ./cmd/campaign -spec testdata/campaigns/grid.json -out /tmp/bttomo_campaign -jobs 1
+	$(GO) run ./cmd/campaign run -spec testdata/campaigns/grid.json -out /tmp/bttomo_campaign -jobs 1
 	cmp /tmp/bttomo_campaign/campaign.csv /tmp/bttomo_campaign_first.csv
 	grep -q '"misses": 0' /tmp/bttomo_campaign/manifest.json
 	grep -q '"failures": 0' /tmp/bttomo_campaign/manifest.json
@@ -82,15 +82,15 @@ campaign-smoke:
 fleet-smoke:
 	rm -rf /tmp/bttomo_fleet_ref /tmp/bttomo_fleet /tmp/bttomo_fleet_bin
 	$(GO) build -o /tmp/bttomo_fleet_bin ./cmd/campaign
-	/tmp/bttomo_fleet_bin -spec testdata/campaigns/grid.json -out /tmp/bttomo_fleet_ref -jobs 2
-	/tmp/bttomo_fleet_bin -spec testdata/campaigns/grid.json -out /tmp/bttomo_fleet -fleet -owner a -jobs 2 & \
+	/tmp/bttomo_fleet_bin run -spec testdata/campaigns/grid.json -out /tmp/bttomo_fleet_ref -jobs 2
+	/tmp/bttomo_fleet_bin run -spec testdata/campaigns/grid.json -out /tmp/bttomo_fleet -fleet -owner a -jobs 2 & \
 	pid=$$!; \
-	/tmp/bttomo_fleet_bin -spec testdata/campaigns/grid.json -out /tmp/bttomo_fleet -fleet -owner b -jobs 2; st=$$?; \
+	/tmp/bttomo_fleet_bin run -spec testdata/campaigns/grid.json -out /tmp/bttomo_fleet -fleet -owner b -jobs 2; st=$$?; \
 	wait $$pid && test $$st -eq 0
 	cmp /tmp/bttomo_fleet/campaign.csv /tmp/bttomo_fleet_ref/campaign.csv
 	test "$$(grep -c '"cache":"miss"' /tmp/bttomo_fleet/runs/index.json)" -eq 8
 	grep -q '"misses": 8' /tmp/bttomo_fleet/manifest.json
-	/tmp/bttomo_fleet_bin -spec testdata/campaigns/grid.json -out /tmp/bttomo_fleet -fleet -owner c -jobs 2
+	/tmp/bttomo_fleet_bin run -spec testdata/campaigns/grid.json -out /tmp/bttomo_fleet -fleet -owner c -jobs 2
 	grep -q '"misses": 0' /tmp/bttomo_fleet/manifests/c.json
 	grep -q '"hits": 8' /tmp/bttomo_fleet/manifests/c.json
 	test "$$(grep -c '"cache":"miss"' /tmp/bttomo_fleet/runs/index.json)" -eq 8

@@ -10,7 +10,7 @@ import (
 
 // A campaign crosses scenarios with option axes; Expand turns the
 // declaration into the ordered, content-addressed run grid that
-// RunCampaign executes (and `cmd/campaign -dry-run` prints).
+// RunCampaign executes (and `campaign run -dry-run` prints).
 func ExampleNewCampaign() {
 	c, err := NewCampaign("sweep").
 		Note("two datasets under two measurement budgets").

@@ -7,7 +7,7 @@ package repro
 //
 // All entry points here operate on completed results and are agnostic to
 // how the measurement ran: a Result produced with Options.Workers > 1 is
-// bit-identical to a sequential one, so archived graphs, bottleneck
+// bit-identical to a single-worker one, so archived graphs, bottleneck
 // reports and collective schedules never depend on the worker count.
 
 import (

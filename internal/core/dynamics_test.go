@@ -5,9 +5,12 @@ package core
 // the simulator and sliding-window tomography that tracks them.
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
+	"repro/internal/dynamics"
 	"repro/internal/sim"
 	"repro/internal/simnet"
 )
@@ -15,7 +18,7 @@ import (
 // reconfigurable builds 12 hosts in two groups of 6 on switches s0, s1
 // joined by a fast inter-switch link that tests can later choke; returns
 // the network, hosts, and the switch ids.
-func reconfigurable() (*sim.Engine, *simnet.Network, []int, [2]int) {
+func reconfigurable() (*simnet.Network, []int, [2]int) {
 	eng := sim.NewEngine()
 	net := simnet.New(eng)
 	var sw [2]int
@@ -30,7 +33,7 @@ func reconfigurable() (*sim.Engine, *simnet.Network, []int, [2]int) {
 		net.Connect(h, sw[i/6], simnet.LinkSpec{Capacity: simnet.Mbps(890), Latency: 50e-6})
 		hosts = append(hosts, h)
 	}
-	return eng, net, hosts, sw
+	return net, hosts, sw
 }
 
 func TestSetLinkCapacityRebalancesActiveFlows(t *testing.T) {
@@ -79,10 +82,10 @@ func TestWindowedAggregationMatchesCumulativeWhenStatic(t *testing.T) {
 	// On a static network a window covering all iterations is identical
 	// to the cumulative aggregation.
 	run := func(window int) *Result {
-		eng, net, hosts, _ := reconfigurable()
+		net, hosts, _ := reconfigurable()
 		opts := testOptions(4)
 		opts.Window = window
-		res, err := Run(eng, net, hosts, nil, opts)
+		res, err := Run(net, hosts, nil, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,10 +100,10 @@ func TestWindowedAggregationMatchesCumulativeWhenStatic(t *testing.T) {
 }
 
 func TestWindowedMeanIsOverWindowOnly(t *testing.T) {
-	eng, net, hosts, _ := reconfigurable()
+	net, hosts, _ := reconfigurable()
 	opts := testOptions(6)
 	opts.Window = 2
-	res, err := Run(eng, net, hosts, nil, opts)
+	res, err := Run(net, hosts, nil, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,10 +122,10 @@ func TestWindowedMeanIsOverWindowOnly(t *testing.T) {
 }
 
 func TestNegativeWindowRejected(t *testing.T) {
-	eng, net, hosts, _ := reconfigurable()
+	net, hosts, _ := reconfigurable()
 	opts := testOptions(2)
 	opts.Window = -1
-	if _, err := Run(eng, net, hosts, nil, opts); err == nil {
+	if _, err := Run(net, hosts, nil, opts); err == nil {
 		t.Fatal("negative window accepted")
 	}
 }
@@ -137,9 +140,8 @@ func TestWindowedTomographyTracksTopologyChange(t *testing.T) {
 	// groups separate -> truth B = {0 | 1}.
 	truthAfter := []int{0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1}
 
-	eng, net, hosts, sw := reconfigurable()
-	_ = eng
-	resA, err := Run(eng, net, hosts, nil, testOptionsN(20, 0))
+	net, hosts, sw := reconfigurable()
+	resA, err := Run(net, hosts, nil, testOptionsN(20, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +155,7 @@ func TestWindowedTomographyTracksTopologyChange(t *testing.T) {
 	}
 	// Reconfigure mid-simulation: choke the interconnect.
 	net.SetLinkCapacity(sw[0], sw[1], simnet.Mbps(50))
-	resB, err := Run(eng, net, hosts, truthAfter, testOptionsN(8, 0))
+	resB, err := Run(net, hosts, truthAfter, testOptionsN(8, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,24 +175,52 @@ func testOptionsN(iters, window int) Options {
 	return opts
 }
 
+// backgroundLoad scripts k unrelated 256 MB bulk transfers between random
+// host pairs at the start of every iteration — the cross traffic of a
+// highly utilized network — as burst events on a timeline bound to hosts.
+func backgroundLoad(t *testing.T, hosts []int, iters, k int) *dynamics.Timeline {
+	t.Helper()
+	b := dynamics.Binding{Hosts: map[string]int{}, HostVertex: hosts, Iterations: iters}
+	for i := range hosts {
+		b.Hosts[fmt.Sprintf("h%d", i)] = i
+	}
+	rng := rand.New(rand.NewSource(1))
+	var events []dynamics.Event
+	for it := 1; it <= iters; it++ {
+		for j := 0; j < k; j++ {
+			src := rng.Intn(len(hosts))
+			dst := (src + 1 + rng.Intn(len(hosts)-1)) % len(hosts)
+			events = append(events, dynamics.Event{
+				Iter: it, Kind: dynamics.Burst, Param: 256,
+				Target: fmt.Sprintf("h%d%sh%d", src, dynamics.BurstTargetSep, dst),
+			})
+		}
+	}
+	tl, err := dynamics.Compile(events, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tl
+}
+
 func TestTomographyUnderBackgroundLoad(t *testing.T) {
 	// §I: the method targets "large highly utilized heterogeneous
 	// networks". With unrelated bulk transfers saturating random paths
 	// throughout the measurement, the clustering must still recover the
 	// two groups (possibly needing a few more iterations).
-	eng, net, hosts, sw := reconfigurable()
+	net, hosts, sw := reconfigurable()
 	net.SetLinkCapacity(sw[0], sw[1], simnet.Mbps(50)) // make two clusters
 	truth := []int{0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1}
 	opts := testOptionsN(10, 0)
-	opts.BackgroundFlows = 4
-	res, err := Run(eng, net, hosts, truth, opts)
+	opts.Dynamics = backgroundLoad(t, hosts, opts.Iterations, 4)
+	res, err := Run(net, hosts, truth, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.NMI < 0.99 {
 		t.Fatalf("NMI under background load = %.3f, want ~1", res.NMI)
 	}
-	// The background flows must be gone afterwards.
+	// The load runs on the per-iteration replicas only.
 	if net.ActiveFlows() != 0 {
 		t.Fatalf("%d background flows leaked", net.ActiveFlows())
 	}
@@ -198,10 +228,10 @@ func TestTomographyUnderBackgroundLoad(t *testing.T) {
 
 func TestBackgroundLoadSlowsMeasurement(t *testing.T) {
 	run := func(bg int) float64 {
-		eng, net, hosts, _ := reconfigurable()
+		net, hosts, _ := reconfigurable()
 		opts := testOptionsN(3, 0)
-		opts.BackgroundFlows = bg
-		res, err := Run(eng, net, hosts, nil, opts)
+		opts.Dynamics = backgroundLoad(t, hosts, opts.Iterations, bg)
+		res, err := Run(net, hosts, nil, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

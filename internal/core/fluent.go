@@ -10,8 +10,8 @@ package core
 // composes with the fluent chain (the chain produces a value).
 
 // WithWorkers returns a copy of o with the measurement fanned out over
-// n workers (see Options.Workers for the bit-identity contract; any
-// n >= 1 produces identical results, only wall-clock changes).
+// n workers (see Options.Workers for the bit-identity contract; any n
+// produces identical results, only wall-clock changes).
 func (o Options) WithWorkers(n int) Options {
 	o.Workers = n
 	return o

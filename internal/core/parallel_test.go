@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"strings"
 	"testing"
 
 	"repro/internal/topology"
@@ -20,12 +19,7 @@ func parallelTestOptions(iters, workers int) Options {
 }
 
 // assertIdenticalResults compares two results field by field, bit-exact.
-// timeTol relaxes only the TotalMeasurementTime comparison (relative): the
-// in-place sequential path reads the simulated clock at large absolute
-// values while each replica starts at t=0, so broadcast durations quantize
-// differently in their last ulps even though every fragment count, graph
-// weight, partition and NMI is bit-identical. Pass 0 for bit-exact.
-func assertIdenticalResults(t *testing.T, a, b *Result, la, lb string, timeTol float64) {
+func assertIdenticalResults(t *testing.T, a, b *Result, la, lb string) {
 	t.Helper()
 	if a.Graph.N() != b.Graph.N() {
 		t.Fatalf("%s has %d vertices, %s has %d", la, a.Graph.N(), lb, b.Graph.N())
@@ -53,8 +47,8 @@ func assertIdenticalResults(t *testing.T, a, b *Result, la, lb string, timeTol f
 	if a.NMI != b.NMI && !(math.IsNaN(a.NMI) && math.IsNaN(b.NMI)) {
 		t.Fatalf("NMI differs: %s %v vs %s %v", la, a.NMI, lb, b.NMI)
 	}
-	if d := math.Abs(a.TotalMeasurementTime - b.TotalMeasurementTime); d > timeTol*a.TotalMeasurementTime {
-		t.Fatalf("TotalMeasurementTime differs: %v vs %v", a.TotalMeasurementTime, b.TotalMeasurementTime)
+	if a.TotalMeasurementTime != b.TotalMeasurementTime {
+		t.Fatalf("TotalMeasurementTime differs: %s %v vs %s %v", la, a.TotalMeasurementTime, lb, b.TotalMeasurementTime)
 	}
 	if len(a.Iterations) != len(b.Iterations) {
 		t.Fatalf("iteration record counts differ: %d vs %d", len(a.Iterations), len(b.Iterations))
@@ -71,10 +65,9 @@ func assertIdenticalResults(t *testing.T, a, b *Result, la, lb string, timeTol f
 }
 
 // TestParallelMatchesSequentialAllDatasets is the core determinism
-// guarantee of the parallel pipeline: for every built-in dataset,
-// Workers=4 reproduces Workers=1 bit-identically (graph weights,
-// partition, per-iteration NMI), and the replica path reproduces the
-// legacy in-place sequential path (Workers=0) as well.
+// guarantee of the measurement pipeline: for every built-in dataset,
+// Workers=0 (the default), 1 and 4 produce bit-identical results (graph
+// weights, partition, per-iteration NMI, measurement time).
 func TestParallelMatchesSequentialAllDatasets(t *testing.T) {
 	for _, name := range topology.DatasetNames {
 		t.Run(name, func(t *testing.T) {
@@ -87,8 +80,8 @@ func TestParallelMatchesSequentialAllDatasets(t *testing.T) {
 				return res
 			}
 			seq, par1, par4 := run(0), run(1), run(4)
-			assertIdenticalResults(t, par1, par4, "Workers=1", "Workers=4", 0)
-			assertIdenticalResults(t, seq, par1, "Workers=0", "Workers=1", 1e-12)
+			assertIdenticalResults(t, par1, par4, "Workers=1", "Workers=4")
+			assertIdenticalResults(t, seq, par1, "Workers=0", "Workers=1")
 		})
 	}
 }
@@ -108,7 +101,7 @@ func TestParallelRotateRoot(t *testing.T) {
 		return res
 	}
 	par1, par4 := run(1), run(4)
-	assertIdenticalResults(t, par1, par4, "Workers=1", "Workers=4", 0)
+	assertIdenticalResults(t, par1, par4, "Workers=1", "Workers=4")
 	for k, rec := range par4.Iterations {
 		for _, v := range rec.Broadcast.Fragments[k%4] {
 			if v != 0 {
@@ -118,59 +111,44 @@ func TestParallelRotateRoot(t *testing.T) {
 	}
 }
 
-// TestParallelWindow checks that the sliding window composes with workers
-// and that both match the sequential windowed run.
+// TestParallelWindow checks that the sliding window composes with workers:
+// Workers=0, 1 and 4 produce bit-identical windowed runs.
 func TestParallelWindow(t *testing.T) {
 	run := func(workers int) *Result {
-		eng, net, hosts, truth := smallDumbbell()
+		net, hosts, truth := smallDumbbell()
 		opts := testOptions(5)
 		opts.Window = 2
 		opts.Workers = workers
-		res, err := Run(eng, net, hosts, truth, opts)
+		res, err := Run(net, hosts, truth, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
 	seq, par1, par4 := run(0), run(1), run(4)
-	assertIdenticalResults(t, par1, par4, "Workers=1", "Workers=4", 0)
-	assertIdenticalResults(t, seq, par1, "Workers=0", "Workers=1", 1e-12)
-}
-
-// TestParallelBackgroundFlowsError: background traffic needs engine state
-// shared across iterations, so combining it with workers must fail loudly.
-func TestParallelBackgroundFlowsError(t *testing.T) {
-	eng, net, hosts, truth := smallDumbbell()
-	opts := testOptions(2)
-	opts.Workers = 2
-	opts.BackgroundFlows = 1
-	_, err := Run(eng, net, hosts, truth, opts)
-	if err == nil {
-		t.Fatal("BackgroundFlows with Workers > 0 did not error")
-	}
-	if !strings.Contains(err.Error(), "BackgroundFlows") || !strings.Contains(err.Error(), "Workers") {
-		t.Fatalf("error does not name the conflicting options: %v", err)
-	}
+	assertIdenticalResults(t, par1, par4, "Workers=1", "Workers=4")
+	assertIdenticalResults(t, seq, par1, "Workers=0", "Workers=1")
 }
 
 // TestParallelNegativeWorkersError rejects a nonsensical worker count.
 func TestParallelNegativeWorkersError(t *testing.T) {
-	eng, net, hosts, truth := smallDumbbell()
+	net, hosts, truth := smallDumbbell()
 	opts := testOptions(1)
 	opts.Workers = -1
-	if _, err := Run(eng, net, hosts, truth, opts); err == nil {
+	if _, err := Run(net, hosts, truth, opts); err == nil {
 		t.Fatal("negative Workers accepted")
 	}
 }
 
 // TestParallelActiveFlowsError: replica mode requires an idle network.
 func TestParallelActiveFlowsError(t *testing.T) {
-	eng, net, hosts, truth := smallDumbbell()
+	net, hosts, truth := smallDumbbell()
 	net.StartFlow(hosts[0], hosts[1], 1e12, nil)
+	eng := net.Engine()
 	eng.RunUntil(eng.Now() + 1) // let the flow activate
 	opts := testOptions(1)
 	opts.Workers = 2
-	if _, err := Run(eng, net, hosts, truth, opts); err == nil {
+	if _, err := Run(net, hosts, truth, opts); err == nil {
 		t.Fatal("Run with active flows and Workers > 0 did not error")
 	}
 }
@@ -179,12 +157,12 @@ func TestParallelActiveFlowsError(t *testing.T) {
 // activated (its path latency has not elapsed) makes the network just as
 // non-idle — replicas would silently drop it.
 func TestParallelPendingFlowsError(t *testing.T) {
-	eng, net, hosts, truth := smallDumbbell()
+	net, hosts, truth := smallDumbbell()
 	net.StartFlow(hosts[0], hosts[1], 1e12, nil)
 	// Do NOT run the engine: the flow is pending, not active.
 	opts := testOptions(1)
 	opts.Workers = 2
-	if _, err := Run(eng, net, hosts, truth, opts); err == nil {
+	if _, err := Run(net, hosts, truth, opts); err == nil {
 		t.Fatal("Run with a pending flow and Workers > 0 did not error")
 	}
 }
@@ -192,10 +170,10 @@ func TestParallelPendingFlowsError(t *testing.T) {
 // TestParallelMoreWorkersThanIterations: the pool clamps to the iteration
 // count instead of spawning idle goroutines.
 func TestParallelMoreWorkersThanIterations(t *testing.T) {
-	eng, net, hosts, truth := smallDumbbell()
+	net, hosts, truth := smallDumbbell()
 	opts := testOptions(2)
 	opts.Workers = 16
-	res, err := Run(eng, net, hosts, truth, opts)
+	res, err := Run(net, hosts, truth, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,19 +189,19 @@ func TestDiscardBroadcasts(t *testing.T) {
 	for _, workers := range []int{0, 4} {
 		for _, window := range []int{0, 2} {
 			run := func(discard bool) *Result {
-				eng, net, hosts, truth := smallDumbbell()
+				net, hosts, truth := smallDumbbell()
 				opts := testOptions(5)
 				opts.Workers = workers
 				opts.Window = window
 				opts.DiscardBroadcasts = discard
-				res, err := Run(eng, net, hosts, truth, opts)
+				res, err := Run(net, hosts, truth, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
 				return res
 			}
 			kept, dropped := run(false), run(true)
-			assertIdenticalResults(t, kept, dropped, "retained", "discarded", 0)
+			assertIdenticalResults(t, kept, dropped, "retained", "discarded")
 			for i, rec := range dropped.Iterations {
 				if rec.Broadcast != nil {
 					t.Fatalf("workers=%d window=%d: iteration %d retained its broadcast", workers, window, i+1)
@@ -245,10 +223,10 @@ func TestDiscardBroadcasts(t *testing.T) {
 // the window is defined by: total weight equals the mean over exactly
 // Window iterations of their exchanged fragments.
 func TestWindowEqualsShortRun(t *testing.T) {
-	eng, net, hosts, truth := smallDumbbell()
+	net, hosts, truth := smallDumbbell()
 	opts := testOptions(5)
 	opts.Window = 2
-	res, err := Run(eng, net, hosts, truth, opts)
+	res, err := Run(net, hosts, truth, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

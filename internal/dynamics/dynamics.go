@@ -65,8 +65,8 @@ const (
 	HostJoin Kind = "host-join"
 	// Burst starts one cross-traffic flow of Param megabytes (1e6 bytes)
 	// from host src to host dst — Target is "src>dst" — At seconds into
-	// iteration Iter only. It is the deterministic, worker-safe
-	// replacement for core.Options.BackgroundFlows.
+	// iteration Iter only: the "high load" cross traffic of the paper's
+	// §I, scripted deterministically.
 	Burst Kind = "burst"
 )
 

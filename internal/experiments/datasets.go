@@ -110,12 +110,9 @@ func (r *Runner) Datasets() (*DatasetsData, error) {
 			opts := r.options(paperIterations[name])
 			if workers > 1 {
 				// The sweep owns the worker budget: measure each dataset
-				// with a single (replica-path) worker so concurrency
-				// stays at Workers instead of Workers squared. Graphs,
-				// partitions and NMI are bit-identical either way; only
-				// simulated durations can differ from the in-place
-				// sequential path in their last ulps (see
-				// core.Options.Workers).
+				// with a single worker so concurrency stays at Workers
+				// instead of Workers squared. Results are bit-identical
+				// either way (see core.Options.Workers).
 				opts.Workers = 1
 			}
 			res, err := core.RunDataset(d, opts)

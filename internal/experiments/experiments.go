@@ -46,7 +46,7 @@ type Config struct {
 	// sequential), a lone Datasets experiment sweeps that many datasets
 	// concurrently, and a single-run experiment fans its measurement
 	// iterations out via core.Options.Workers (bit-identical to a single
-	// worker). 0 or 1 keeps everything sequential.
+	// worker). 0 or 1 runs everything on one worker.
 	Workers int
 }
 

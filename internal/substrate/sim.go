@@ -16,7 +16,7 @@ var mCloneSeconds = telemetry.Default().Counter("repro_substrate_clone_seconds_t
 	"wall-clock seconds spent cloning engine+network replicas (incl. dynamics replay)")
 
 func init() {
-	mustRegister("sim", Capabilities{Dynamics: true, Background: true, Deterministic: true}, newSim)
+	mustRegister("sim", Capabilities{Dynamics: true, Deterministic: true}, newSim)
 }
 
 // simSubstrate measures each iteration on a private engine+network
@@ -42,7 +42,7 @@ func newSim(env Env) (Substrate, error) {
 func (s *simSubstrate) Name() string { return "sim" }
 
 func (s *simSubstrate) Capabilities() Capabilities {
-	return Capabilities{Dynamics: true, Background: true, Deterministic: true}
+	return Capabilities{Dynamics: true, Deterministic: true}
 }
 
 func (s *simSubstrate) Measure(_ context.Context, req Request) (*bittorrent.Result, error) {

@@ -32,10 +32,10 @@
 // # Parallel measurement
 //
 // Iterations draw from independent deterministic RNG streams, so they are
-// embarrassingly parallel. Setting Options.Workers >= 1 fans the
-// measurement out over that many workers, each on its own simulator
-// replica; per-iteration counts merge in iteration order, making the
-// result bit-identical for every worker count:
+// embarrassingly parallel. Options.Workers fans the measurement out over
+// that many workers, each on its own simulator replica; per-iteration
+// counts merge in iteration order, making the result bit-identical for
+// every worker count:
 //
 //	opts := repro.DefaultOptions().WithWorkers(4)
 //	res, err := repro.Run(dataset, opts)
@@ -53,7 +53,7 @@
 //
 // Backends() lists what is registered; wire results are reproducible in
 // distribution, not byte-for-byte, and wire cannot replay Dynamics
-// timelines or BackgroundFlows (Options.Validate rejects the combination).
+// timelines (Options.Validate rejects the combination).
 //
 // # Custom scenarios
 //
@@ -73,7 +73,7 @@
 //		FlatSite("left", "core", 16, "eth", "wan").
 //		FlatSite("right", "core", 16, "eth", "wan").
 //		Spec()
-//	res, err := repro.RunSpec(spec, repro.ParallelOptions(4))
+//	res, err := repro.RunSpec(spec, repro.DefaultOptions().WithWorkers(4))
 //
 // # Time-varying scenarios
 //
@@ -100,8 +100,7 @@
 // Iterations measure only the hosts active in them and NMI is scored
 // against the hosts present (IterationRecord.ActiveHosts). See the
 // ExampleNewSpec_dynamics godoc example, examples/dynamics, and the
-// README's "Time-varying scenarios" section (including how scripted
-// bursts replace the legacy Options.BackgroundFlows knob).
+// README's "Time-varying scenarios" section.
 //
 // # Campaigns
 //
@@ -125,7 +124,7 @@
 //	})
 //	fmt.Println(out.Table)      // aggregated NMI/Q/time grid
 //
-// Campaigns also scale out: JoinCampaign (or `cmd/campaign -fleet`) runs
+// Campaigns also scale out: JoinCampaign (or `campaign run -fleet`) runs
 // the process as one worker of a distributed fleet, any number of which
 // share an output directory and partition the grid through per-run lease
 // files — each run executed exactly once by a live worker, crashed
@@ -202,25 +201,11 @@ type Dataset = topology.Dataset
 
 // DefaultOptions mirrors the paper's standard configuration: 30
 // iterations of a 239 MB broadcast in 16 KiB fragments, fixed root,
-// sequential measurement. Derive variants fluently — each With* method
+// one measurement worker. Derive variants fluently — each With* method
 // returns a modified copy, so a configuration is one expression:
 //
 //	opts := repro.DefaultOptions().WithWorkers(4).WithIterations(10)
 func DefaultOptions() Options { return core.DefaultOptions() }
-
-// ParallelOptions is DefaultOptions with the measurement fanned out over
-// the given number of workers. Each worker measures on its own simulator
-// replica and the per-iteration results are merged in iteration order, so
-// any workers >= 1 produces bit-identical graphs, partitions and NMI
-// scores — only wall-clock time changes. See core.Options.Workers for the
-// full contract (BackgroundFlows requires the sequential path).
-//
-// Deprecated: use DefaultOptions().WithWorkers(workers), which reads the
-// same and composes with the other With* derivations. ParallelOptions is
-// a thin wrapper over that form and will keep working.
-func ParallelOptions(workers int) Options {
-	return DefaultOptions().WithWorkers(workers)
-}
 
 // Datasets lists the registered scenario names — the six built-ins (2x2,
 // B, BT, GT, BGT, BGTL) plus any specs added with RegisterSpec — sorted
@@ -236,7 +221,7 @@ func Datasets() []string {
 // Options.Backend / WithBackend, a campaign's backend axis, or `bttomo
 // -backend`. The wire backend measures real sockets, so its results are
 // reproducible in distribution but not byte-for-byte; it cannot replay
-// Dynamics timelines or BackgroundFlows.
+// Dynamics timelines.
 func Backends() []string {
 	return substrate.Names()
 }
@@ -409,7 +394,7 @@ func JoinCampaign(c *Campaign, opts CampaignOptions) (*CampaignOutcome, error) {
 func LoadCampaign(path string) (*Campaign, error) { return campaign.Load(path) }
 
 // SaveCampaign writes a campaign spec to a JSON file — the declarative
-// interchange format `cmd/campaign -spec` runs.
+// interchange format `campaign run -spec` runs.
 func SaveCampaign(path string, c *Campaign) error { return campaign.Save(path, c) }
 
 // HierarchyNode is one cluster of a hierarchical decomposition — the
