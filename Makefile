@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build examples test race vet fmt-check bench bench-smoke spec-smoke dynamics-smoke campaign-smoke fleet-smoke serve-smoke wire-smoke obs-smoke dashboard-smoke ci
+.PHONY: all build examples test perfbench-test race vet fmt-check bench bench-smoke spec-smoke dynamics-smoke campaign-smoke fleet-smoke serve-smoke wire-smoke obs-smoke dashboard-smoke ci
 
 all: build
 
@@ -16,6 +16,11 @@ examples:
 
 test:
 	$(GO) test ./...
+
+# perfbench is its own module, so `go test ./...` above skips it; its
+# tests include the traced-run bit-identity check.
+perfbench-test:
+	cd perfbench && $(GO) test ./...
 
 # The race suite needs well over go test's default 10m on slow machines;
 # keep the timeout in lockstep with .github/workflows/ci.yml.
@@ -224,4 +229,4 @@ dashboard-smoke:
 	/tmp/bttomo_dash_bin diff -out /tmp/bttomo_dash_src -base /tmp/bttomo_dash_ref | grep -q 'regressions: 0'
 	@rm -rf /tmp/bttomo_dash_hub /tmp/bttomo_dash_src /tmp/bttomo_dash_ref /tmp/bttomo_dash_bin /tmp/bttomo_dash_check /tmp/bttomo_dash_sse.txt /tmp/bttomo_dash_sse2.txt /tmp/bttomo_dash_events.jsonl /tmp/bttomo_dash_hub_status.json
 
-ci: fmt-check vet build examples race bench-smoke spec-smoke dynamics-smoke campaign-smoke fleet-smoke serve-smoke wire-smoke obs-smoke dashboard-smoke bench
+ci: fmt-check vet build examples race perfbench-test bench-smoke spec-smoke dynamics-smoke campaign-smoke fleet-smoke serve-smoke wire-smoke obs-smoke dashboard-smoke bench

@@ -20,16 +20,13 @@ type Flow struct {
 	remaining float64
 	eps       float64 // completion threshold for this flow
 	rate      float64
-	cap       float64 // per-flow cap from the path (0 = none)
-	path      []*channel
+	cap       float64    // per-flow cap from the path (0 = none)
+	path      []*channel // shared with the route cache: read-only
 	done      func()
 	started   float64 // time the flow became active (after latency)
 	slot      int     // index in Network.flows, -1 when inactive
 	active    bool
 	cancelled bool
-
-	// solver scratch
-	fixed bool
 }
 
 // Src returns the source host id.
@@ -104,10 +101,7 @@ func (n *Network) StartFlowRateLimited(src, dst int, size, rateCap float64, done
 			return
 		}
 		n.advance()
-		f.active = true
-		f.started = n.eng.Now()
-		f.slot = len(n.flows)
-		n.flows = append(n.flows, f)
+		n.activate(f)
 		n.markDirty()
 	})
 	return f
@@ -138,8 +132,35 @@ func (n *Network) ActiveFlows() int { return len(n.flows) }
 // precondition for Clone.
 func (n *Network) PendingFlows() int { return n.pendingFlows }
 
-// removeFlow drops f from the active set with a swap-remove.
+// activate adds f to the active set and counts it on every channel of its
+// path, entering newly crossed channels into n.busy.
+func (n *Network) activate(f *Flow) {
+	f.active = true
+	f.started = n.eng.Now()
+	f.slot = len(n.flows)
+	n.flows = append(n.flows, f)
+	for _, c := range f.path {
+		if c.nFlows == 0 {
+			c.busySlot = len(n.busy)
+			n.busy = append(n.busy, c)
+		}
+		c.nFlows++
+	}
+}
+
+// removeFlow drops f from the active set with a swap-remove, uncounting it
+// on its path and swap-removing channels it leaves idle from n.busy.
 func (n *Network) removeFlow(f *Flow) {
+	for _, c := range f.path {
+		c.nFlows--
+		if c.nFlows == 0 {
+			last := n.busy[len(n.busy)-1]
+			n.busy[c.busySlot] = last
+			last.busySlot = c.busySlot
+			n.busy[len(n.busy)-1] = nil
+			n.busy = n.busy[:len(n.busy)-1]
+		}
+	}
 	last := len(n.flows) - 1
 	moved := n.flows[last]
 	n.flows[f.slot] = moved
@@ -193,40 +214,44 @@ func (n *Network) resolve() {
 // per-flow caps: all unfixed flows rise at the same rate; the first
 // constraint to bind (a saturated channel or a flow's cap) fixes the flows
 // it governs; repeat.
+//
+// It relies on the membership invariants maintained by activate and
+// removeFlow: c.nFlows is the number of active flows whose path crosses
+// c, and n.busy holds exactly the channels with nFlows > 0. Each fill
+// level scans only the channels that still carry an unfixed flow and only
+// the unfixed flows, both compacted in place as flows fix. The flow list
+// stays in n.flows order, so every channel's usedFixed accumulates in the
+// same order — and every rate comes out bit-identical — as a full rescan
+// of all channels and flows at every level would produce.
 func (n *Network) solve() {
 	n.solves++
-	// Build per-channel flow lists.
-	chans := n.chanScratch[:0]
-	for _, f := range n.flows {
-		f.fixed = false
-		f.rate = 0
-		for _, c := range f.path {
-			if len(c.flows) == 0 {
-				chans = append(chans, c)
-			}
-			c.flows = append(c.flows, f)
-		}
-	}
-	for _, c := range chans {
-		c.nUnfixed = len(c.flows)
+	live := append(n.liveScratch[:0], n.busy...)
+	for _, c := range live {
+		c.nUnfixed = c.nFlows
 		c.usedFixed = 0
+		c.effCap = c.effectiveCapacity()
 	}
-	unfixed := len(n.flows)
+	unfixed := append(n.unfixedScratch[:0], n.flows...)
 	level := 0.0
-	for unfixed > 0 {
-		// Next binding constraint above the current fill level.
+	for len(unfixed) > 0 {
+		// Next binding constraint above the current fill level; channels
+		// whose flows have all fixed drop out of the scan for good.
 		delta := math.Inf(1)
-		for _, c := range chans {
+		k := 0
+		for _, c := range live {
 			if c.nUnfixed == 0 {
 				continue
 			}
-			d := (c.effectiveCapacity() - c.usedFixed - level*float64(c.nUnfixed)) / float64(c.nUnfixed)
+			live[k] = c
+			k++
+			d := (c.effCap - c.usedFixed - level*float64(c.nUnfixed)) / float64(c.nUnfixed)
 			if d < delta {
 				delta = d
 			}
 		}
-		for _, f := range n.flows {
-			if f.fixed || f.cap == 0 {
+		live = live[:k]
+		for _, f := range unfixed {
+			if f.cap == 0 {
 				continue
 			}
 			if d := f.cap - level; d < delta {
@@ -236,24 +261,25 @@ func (n *Network) solve() {
 		if math.IsInf(delta, 1) {
 			// No constraints at all (cannot happen with finite
 			// capacities, but guard against an empty channel set).
+			for _, f := range unfixed {
+				f.rate = 0
+			}
 			break
 		}
 		if delta < 0 {
 			delta = 0
 		}
 		level += delta
-		// Fix flows at binding constraints. A small epsilon absorbs
-		// float error when several constraints bind together.
+		// Fix flows at binding constraints, keeping the rest in order. A
+		// small epsilon absorbs float error when several constraints bind
+		// together.
 		const eps = 1e-9
-		progressed := false
-		for _, f := range n.flows {
-			if f.fixed {
-				continue
-			}
+		k = 0
+		for _, f := range unfixed {
 			bind := f.cap != 0 && f.cap-level <= eps*(1+level)
 			if !bind {
 				for _, c := range f.path {
-					cap := c.effectiveCapacity()
+					cap := c.effCap
 					room := cap - c.usedFixed - level*float64(c.nUnfixed)
 					if room <= eps*(1+cap) {
 						bind = true
@@ -261,32 +287,29 @@ func (n *Network) solve() {
 					}
 				}
 			}
-			if bind {
-				f.fixed = true
-				f.rate = level
-				progressed = true
-				unfixed--
-				for _, c := range f.path {
-					c.nUnfixed--
-					c.usedFixed += level
-				}
+			if !bind {
+				unfixed[k] = f
+				k++
+				continue
+			}
+			f.rate = level
+			for _, c := range f.path {
+				c.nUnfixed--
+				c.usedFixed += level
 			}
 		}
-		if !progressed {
+		if k == len(unfixed) {
 			// Numerical stall: fix everything at the current level.
-			for _, f := range n.flows {
-				if !f.fixed {
-					f.fixed = true
-					f.rate = level
-					unfixed--
-				}
+			for _, f := range unfixed {
+				f.rate = level
 			}
+			k = 0
 		}
+		unfixed = unfixed[:k]
 	}
-	for _, c := range chans {
-		c.flows = c.flows[:0]
-	}
-	n.chanScratch = chans[:0]
+	clear(unfixed[:len(n.flows)]) // hold no finished flows past the solve
+	n.liveScratch = live[:0]
+	n.unfixedScratch = unfixed[:0]
 }
 
 // scheduleCompletion (re)arms the single completion event at the earliest

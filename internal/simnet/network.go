@@ -61,10 +61,16 @@ type channel struct {
 
 	carried float64 // total bytes carried, for utilisation reports
 
-	// solver scratch state
+	// Membership, maintained as flows activate and finish: nFlows is the
+	// number of active flows whose path crosses the channel, and while it
+	// is positive the channel sits in Network.busy at index busySlot.
+	nFlows   int
+	busySlot int
+
+	// solver scratch state, seeded per solve
 	nUnfixed  int
 	usedFixed float64
-	flows     []*Flow
+	effCap    float64
 }
 
 // effectiveCapacity is the capacity the bandwidth solver sees: zero while
@@ -96,16 +102,29 @@ type Network struct {
 	resolveEv    *sim.Event
 	complEv      *sim.Event
 
-	routeCache  map[int][]int32 // src -> prev-vertex array from BFS
-	chanScratch []*channel
-	solves      uint64
+	// busy holds exactly the channels with nFlows > 0, in no particular
+	// order.
+	busy []*channel
+
+	routeCache     map[int]*routes // src -> BFS tree and the paths walked from it
+	liveScratch    []*channel
+	unfixedScratch []*Flow
+	solves         uint64
+}
+
+// routes is the cached routing state of one source: the BFS predecessor
+// array and, per destination, the channel path walked from it. Paths are
+// shared read-only by every flow between the same pair.
+type routes struct {
+	prev  []int32
+	paths [][]*channel
 }
 
 // New returns an empty network using the given engine for time.
 func New(eng *sim.Engine) *Network {
 	return &Network{
 		eng:        eng,
-		routeCache: make(map[int][]int32),
+		routeCache: make(map[int]*routes),
 	}
 }
 
@@ -120,7 +139,7 @@ func (n *Network) Solves() uint64 { return n.solves }
 // endpoints.
 func (n *Network) AddHost(name string) int {
 	n.verts = append(n.verts, vertex{name: name, isHost: true})
-	n.routeCache = make(map[int][]int32)
+	n.routeCache = make(map[int]*routes)
 	return len(n.verts) - 1
 }
 
@@ -128,7 +147,7 @@ func (n *Network) AddHost(name string) int {
 // flows but cannot terminate them.
 func (n *Network) AddSwitch(name string) int {
 	n.verts = append(n.verts, vertex{name: name})
-	n.routeCache = make(map[int][]int32)
+	n.routeCache = make(map[int]*routes)
 	return len(n.verts) - 1
 }
 
@@ -158,7 +177,7 @@ func (n *Network) Connect(a, b int, spec LinkSpec) {
 	ba := &channel{from: b, to: a, capacity: spec.Capacity, latency: spec.Latency, perFlowCap: spec.PerFlowCap}
 	n.verts[a].chans = append(n.verts[a].chans, ab)
 	n.verts[b].chans = append(n.verts[b].chans, ba)
-	n.routeCache = make(map[int][]int32)
+	n.routeCache = make(map[int]*routes)
 }
 
 func (n *Network) checkVert(v int) {
@@ -168,44 +187,50 @@ func (n *Network) checkVert(v int) {
 }
 
 // path returns the channel sequence of the hop-count shortest path from
-// src to dst, computing and caching a BFS tree per source. Ties are broken
-// deterministically by vertex insertion order.
+// src to dst, computing and caching a BFS tree per source and the walked
+// path per pair. Ties are broken deterministically by vertex insertion
+// order. The returned slice is shared: callers must not modify it.
 func (n *Network) path(src, dst int) []*channel {
 	n.checkVert(src)
 	n.checkVert(dst)
 	if src == dst {
 		panic("simnet: flow endpoints must differ")
 	}
-	prev, ok := n.routeCache[src]
+	r, ok := n.routeCache[src]
 	if !ok {
-		prev = n.bfs(src)
-		n.routeCache[src] = prev
+		r = &routes{prev: n.bfs(src), paths: make([][]*channel, len(n.verts))}
+		n.routeCache[src] = r
 	}
+	if p := r.paths[dst]; p != nil {
+		return p
+	}
+	prev := r.prev
 	if prev[dst] == -1 {
 		panic(fmt.Sprintf("simnet: no route from %s to %s", n.verts[src].name, n.verts[dst].name))
 	}
-	// Walk dst -> src, then reverse.
-	var rev []*channel
+	// Walk dst -> src twice: once to size the path exactly (it lives as
+	// long as the route cache), once to fill it from the end.
+	hops := 0
+	for at := dst; at != src; at = int(prev[at]) {
+		hops++
+	}
+	p := make([]*channel, hops)
 	at := dst
-	for at != src {
-		p := int(prev[at])
-		var ch *channel
-		for _, c := range n.verts[p].chans {
+	for i := hops - 1; i >= 0; i-- {
+		from := int(prev[at])
+		for _, c := range n.verts[from].chans {
 			if c.to == at {
-				ch = c
+				p[i] = c
 				break
 			}
 		}
-		if ch == nil {
+		if p[i] == nil {
 			panic("simnet: route cache inconsistent with topology")
 		}
-		rev = append(rev, ch)
-		at = p
+		at = from
 	}
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	return rev
+	r.paths[dst] = p
+	return p
 }
 
 func (n *Network) bfs(src int) []int32 {
